@@ -42,6 +42,7 @@ import (
 // locView is a communicator's locality structure: its members partitioned
 // into co-location groups, in comm-rank space.
 type locView struct {
+	all     []int   // every comm rank, ascending: the single-level member list
 	groups  [][]int // comm ranks per group, each ascending; ordered by lowest member
 	groupOf []int   // comm rank -> index into groups
 }
@@ -67,13 +68,12 @@ func (v *locView) multi() bool {
 // (always safe — unknown ranks are treated as remote, matching the hyb
 // transport's routing rule).
 func buildLocView(size int, keys []string) *locView {
-	v := &locView{groupOf: make([]int, size)}
+	v := &locView{all: make([]int, size), groupOf: make([]int, size)}
+	for r := range v.all {
+		v.all[r] = r
+	}
 	if len(keys) != size {
-		all := make([]int, size)
-		for r := range all {
-			all[r] = r
-		}
-		v.groups = [][]int{all}
+		v.groups = [][]int{v.all}
 		return v
 	}
 	byKey := make(map[string]int)
@@ -193,10 +193,14 @@ func (c *Comm) LocalityLeaders() (*Group, error) {
 }
 
 // ---------------------------------------------------------------------
-// Subset round builders: the binomial/dissemination/chain primitives of
-// icoll.go generalized to an arbitrary member list in comm-rank space.
-// members must be identical on every participating rank; ranks not in
-// members compile zero rounds. rootIdx is an index into members.
+// Round builders over a member list: the one builder each for the
+// binomial broadcast and reduction, recursive doubling, the dissemination
+// barrier and the pipelined chain and binomial broadcasts. members is a
+// list of comm ranks — the comm's identity list (locView.all) for the
+// single-level collectives, a locality group or its leaders for the
+// two-level ones — and must be identical on every participating rank;
+// ranks not in members compile zero rounds. rootIdx is an index into
+// members.
 // ---------------------------------------------------------------------
 
 // memberIdx returns rank's position in members, or -1.
@@ -232,36 +236,6 @@ func bcastRoundsIn(c *Comm, members []int, cl *cell, rootIdx int) []round {
 		if vrank+m < n {
 			child := members[(vrank+m+rootIdx)%n]
 			sends = append(sends, sendStep{to: child, data: func() []byte { return cl.b }})
-		}
-	}
-	if len(sends) > 0 {
-		rs = append(rs, round{sends: sends})
-	}
-	return rs
-}
-
-// bcastWinRoundsIn is bcastRoundsIn over a fixed assembly buffer instead
-// of an adopting cell: receives land directly in asm, sends read it.
-// Every member must pass the same length.
-func bcastWinRoundsIn(c *Comm, members []int, asm []byte, rootIdx int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if n <= 1 || me < 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
-	var rs []round
-	lb := pow2ceil(n)
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent := members[(vrank-lb+rootIdx)%n]
-		rs = append(rs, round{recvs: []recvStep{{from: parent, buf: asm}}})
-	}
-	var sends []sendStep
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < n {
-			child := members[(vrank+m+rootIdx)%n]
-			sends = append(sends, sendStep{to: child, data: func() []byte { return asm }})
 		}
 	}
 	if len(sends) > 0 {
@@ -310,6 +284,8 @@ func rdRoundsIn(c *Comm, members []int, acc *cell, comb combiner) []round {
 	for mask := 1; mask < n; mask <<= 1 {
 		partner := members[me^mask]
 		rs = append(rs, round{
+			// The send snapshots acc at post time, before this round's
+			// combine mutates it.
 			recvs: []recvStep{{from: partner, on: func(got []byte) error { return comb(got, acc.b) }}},
 			sends: []sendStep{{to: partner, data: func() []byte { return acc.b }}},
 		})
@@ -336,9 +312,16 @@ func barrierRoundsIn(c *Comm, members []int) []round {
 	return rs
 }
 
-// pipeChainRoundsIn compiles the segmented pipelined chain broadcast of
-// asm over members, rooted at members[rootIdx]; the chain runs in member
-// order rotated to start at the root.
+// pipeChainRoundsIn compiles the segmented, pipelined chain broadcast of
+// asm over members, rooted at members[rootIdx]: the chain runs in member
+// order rotated to start at the root, and in round t each interior member
+// receives segment t from its chain predecessor while forwarding segment
+// t-1 to its successor. Total time approaches (nseg + n - 2) segment
+// times instead of the binomial tree's depth * whole-payload hops, which
+// is what makes large broadcasts run at link speed. asm holds the packed
+// payload on the root and provides the assembly space — ideally a raw
+// window of the user buffer — everywhere else; every member must pass the
+// same length.
 func pipeChainRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
 	n := len(members)
 	me := memberIdx(members, c.rank)
@@ -359,6 +342,56 @@ func pipeChainRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []r
 		if hasChild && t > 0 {
 			data := segOf(asm, t-1, seg)
 			rd.sends = []sendStep{{to: child, data: func() []byte { return data }}}
+		}
+		if len(rd.recvs)+len(rd.sends) > 0 {
+			rs = append(rs, rd)
+		}
+	}
+	return rs
+}
+
+// pipeBinomialRoundsIn compiles the segmented, pipelined binomial
+// broadcast of asm over members: the binomial tree of bcastRoundsIn, but
+// streaming seg-byte segments down every tree edge instead of whole
+// payloads. In round t a non-root member receives segment t from its tree
+// parent while forwarding segment t-1 to all of its binomial children.
+// The pipeline fills in depth (≈ log2 n) segment times instead of the
+// chain's n-1, which wins the mid-size band (the 64–256 KiB dip in
+// BENCH_coll.json) where fill latency still matters, at the cost of
+// interior members sending each segment to several children. With seg =
+// len(asm) it is the unsegmented binomial broadcast over a fixed assembly
+// buffer. asm has pipeChainRoundsIn's contract.
+func pipeBinomialRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
+	n := len(members)
+	me := memberIdx(members, c.rank)
+	nseg := segCount(len(asm), seg)
+	if n <= 1 || me < 0 || nseg == 0 {
+		return nil
+	}
+	vrank := (me - rootIdx + n) % n
+	lb := pow2ceil(n)
+	parent := -1
+	if vrank != 0 {
+		lb = lowbit(vrank)
+		parent = members[(vrank-lb+rootIdx)%n]
+	}
+	var children []int
+	for m := lb >> 1; m > 0; m >>= 1 {
+		if vrank+m < n {
+			children = append(children, members[(vrank+m+rootIdx)%n])
+		}
+	}
+	var rs []round
+	for t := 0; t <= nseg; t++ {
+		var rd round
+		if parent >= 0 && t < nseg {
+			rd.recvs = []recvStep{{from: parent, buf: segOf(asm, t, seg)}}
+		}
+		if len(children) > 0 && t > 0 {
+			data := segOf(asm, t-1, seg)
+			for _, ch := range children {
+				rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return data }})
+			}
 		}
 		if len(rd.recvs)+len(rd.sends) > 0 {
 			rs = append(rs, rd)
@@ -412,65 +445,17 @@ func (c *Comm) ihbcast(name string, tag int, buf any, off, count int, dt Datatyp
 	v := c.localityView()
 	h := c.hierFor(v, root)
 
-	// Assembly space: a raw window of the user buffer when the datatype
-	// exposes one, else a packed staging buffer (the root packs, everyone
-	// else unpacks at finish) — the same plan as ibcastPipelined.
-	var asm []byte
-	var finish, reset func() error
-	if rw, ok := dt.(rawWindower); ok {
-		if win, ok := rw.window(buf, off, count); ok {
-			asm = win
-		}
+	asm, finish, reset, err := bcastAssembly(c.rank, root, buf, off, count, dt, total)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if asm == nil {
-		if c.rank == root {
-			packed, err := packExact(dt, buf, off, count)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			if len(packed) != total {
-				return nil, fmt.Errorf("%s: %w: packed %d of %d bytes", name, ErrCount, len(packed), total)
-			}
-			asm = packed
-			reset = func() error {
-				if pi, ok := dt.(packerInto); ok {
-					return pi.PackInto(asm, buf, off, count)
-				}
-				b, err := packExact(dt, buf, off, count)
-				if err != nil {
-					return err
-				}
-				if len(b) != len(asm) {
-					return fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), len(asm))
-				}
-				copy(asm, b)
-				return nil
-			}
-		} else {
-			staging := make([]byte, total)
-			asm = staging
-			finish = func() error {
-				_, err := dt.Unpack(staging, buf, off, count)
-				return err
-			}
-		}
-	}
-
 	seg := c.collSegSize()
-	large := total >= c.largeMin()
-	phase := func(members []int, rootIdx int) []round {
-		if large {
-			return pipeChainRoundsIn(c, members, asm, rootIdx, seg)
-		}
-		return bcastWinRoundsIn(c, members, asm, rootIdx)
+	build, alg, nseg := pipeChainRoundsIn, "hier-pipelined", segCount(total, seg)
+	if total < c.largeMin() {
+		// Small payloads cross each phase whole, down a binomial tree.
+		build, alg, nseg, seg = pipeBinomialRoundsIn, "hier", 0, max(len(asm), 1)
 	}
-	rounds := append(phase(h.leaders, h.rootG), phase(h.mine, h.ldrInG)...)
-	nseg := 0
-	alg := "hier"
-	if large {
-		nseg = segCount(total, seg)
-		alg = "hier-pipelined"
-	}
+	rounds := append(build(c, h.leaders, asm, h.rootG, seg), build(c, h.mine, asm, h.ldrInG, seg)...)
 	req, err := c.newCollRequestAlg(name, tag, alg, nseg, rounds, finish)
 	if err == nil {
 		// Cacheable like the single-level pipelines: every send reads asm
@@ -644,11 +629,10 @@ func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt
 		rounds = append(rounds, rd)
 	}
 	// Phase 3: the assembled vector fans out inside each group.
-	seg := c.collSegSize()
-	if size*bs >= c.largeMin() {
-		rounds = append(rounds, pipeChainRoundsIn(c, h.mine, asm, h.ldrInG, seg)...)
-	} else {
-		rounds = append(rounds, bcastWinRoundsIn(c, h.mine, asm, h.ldrInG)...)
+	build, seg := pipeChainRoundsIn, c.collSegSize()
+	if size*bs < c.largeMin() {
+		build, seg = pipeBinomialRoundsIn, max(len(asm), 1)
 	}
+	rounds = append(rounds, build(c, h.mine, asm, h.ldrInG, seg)...)
 	return c.newCollRequestAlg(name, tag, "hier", 0, rounds, finish)
 }

@@ -10,68 +10,21 @@ import (
 // Ibarrier, Ibcast, Igather, Iscatter, Iallgather, Ireduce, Iallreduce,
 // Ialltoall, Iscan — as schedule builders for the engine in sched.go (the
 // varying-count family lives in ivcoll.go, the persistent Commit* forms
-// in pcoll.go). Each builder compiles the same algorithm the blocking
-// form uses (dissemination barrier, binomial trees, ring allgather,
-// recursive doubling; segmented chain pipelines and the ring allreduce
-// for large payloads — see collalg.go for how the algorithm is chosen)
-// into per-rank rounds; the blocking collectives in coll.go call the same
-// builders and Wait immediately, so there is exactly one algorithm
-// source. Builders take their schedule tag as a parameter: the I* entry
-// points draw a fresh one per call, the persistent forms re-use the tag
-// reserved at Commit time.
+// in pcoll.go). Each algorithm (dissemination barrier, binomial trees,
+// ring allgather, recursive doubling; segmented chain and binomial
+// pipelines and the ring allreduce for large payloads — see collalg.go
+// for how the algorithm is chosen) has exactly one round builder. The
+// tree, dissemination and chain builders compile over a member list in
+// comm-rank space (hier.go): the single-level collectives pass the comm's
+// identity list, the two-level ones a locality group or its leaders. The
+// blocking collectives in coll.go call the same builders and Wait
+// immediately, so there is exactly one algorithm source. Builders take
+// their schedule tag as a parameter: the I* entry points draw a fresh one
+// per call, the persistent forms re-use the tag reserved at Commit time.
 
 // ---------------------------------------------------------------------
-// Round builders, one per algorithm.
+// Round builders over the whole communicator.
 // ---------------------------------------------------------------------
-
-// barrierRounds compiles the dissemination barrier: ceil(log2 p) rounds of
-// pairwise empty-message exchange.
-func barrierRounds(c *Comm) []round {
-	size := c.Size()
-	var rs []round
-	for k := 1; k < size; k <<= 1 {
-		dst := (c.rank + k) % size
-		src := (c.rank - k + size) % size
-		rs = append(rs, round{
-			recvs: []recvStep{{from: src}},
-			sends: []sendStep{{to: dst, data: func() []byte { return nil }}},
-		})
-	}
-	return rs
-}
-
-// bcastRounds compiles the binomial-tree broadcast. On the root, cl must
-// already hold the packed payload; on every other rank the first round
-// fills cl from the tree parent, and one further round forwards it to all
-// binomial children at once.
-func bcastRounds(c *Comm, cl *cell, root int) []round {
-	size := c.Size()
-	if size == 1 {
-		return nil
-	}
-	vrank := (c.rank - root + size) % size
-	var rs []round
-	lb := pow2ceil(size)
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent := (vrank - lb + root) % size
-		rs = append(rs, round{recvs: []recvStep{{
-			from: parent,
-			on:   func(got []byte) error { cl.b = got; return nil },
-		}}})
-	}
-	var sends []sendStep
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < size {
-			child := (vrank + m + root) % size
-			sends = append(sends, sendStep{to: child, data: func() []byte { return cl.b }})
-		}
-	}
-	if len(sends) > 0 {
-		rs = append(rs, round{sends: sends})
-	}
-	return rs
-}
 
 // gatherRounds compiles the binomial-tree gather for fixed-size blocks of
 // bs bytes. acc starts as this rank's own block and accumulates the
@@ -203,59 +156,25 @@ func ringWindowRounds(c *Comm, win []byte, bs int) []round {
 	return rs
 }
 
-// ringAllreduceRounds compiles the bandwidth-optimal ring allreduce over
-// the packed vector acc: a reduce-scatter phase (p-1 rounds; in round s
+// ringAllreduceSegRounds compiles the bandwidth-optimal ring allreduce
+// over the packed vector acc: a reduce-scatter phase (p-1 steps; in step s
 // every rank sends its partial of chunk rank-s right and folds the
 // arriving partial of chunk rank-s-1 into acc) leaves rank r holding the
 // complete reduction of chunk r+1, then a ring allgather circulates the
 // reduced chunks back into place. Chunks are cut on elem-byte element
 // boundaries as evenly as the count allows, so the schedule is correct for
 // any communicator size, including non-powers-of-two, and for counts that
-// do not divide by it. scratch stages the reduce-scatter arrivals and must
-// hold the largest chunk; each rank moves ~2·len(acc) bytes total
-// regardless of p.
-func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) []round {
-	size := c.Size()
-	n := len(acc) / elem // element count
-	bound := func(i int) int { return i * n / size * elem }
-	chunk := func(i int) []byte {
-		i = (i%size + size) % size
-		return acc[bound(i):bound(i+1)]
-	}
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	var rs []round
-	for s := 0; s < size-1; s++ {
-		send := chunk(c.rank - s)
-		dst := chunk(c.rank - s - 1)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: scratch[:len(dst)], on: func(got []byte) error {
-				return comb(got, dst)
-			}}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }}},
-		})
-	}
-	for s := 0; s < size-1; s++ {
-		send := chunk(c.rank + 1 - s)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: chunk(c.rank - s)}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }}},
-		})
-	}
-	return rs
-}
-
-// ringAllreduceSegRounds is ringAllreduceRounds with the chunks pipelined
-// inside every ring step: instead of one whole-chunk store-and-forward
-// per step, each step streams its chunk as seg-byte segments (seg is
+// do not divide by it; each rank moves ~2·len(acc) bytes total regardless
+// of p. scratch stages the reduce-scatter arrivals and must hold min(seg,
+// largest chunk) bytes.
+//
+// Each step streams its chunk as seg-byte segments (seg is
 // element-aligned), so a rank starts combining — and its neighbour
-// forwarding — after one segment instead of one chunk. Neighbours run
-// one segment apart rather than one chunk apart, which matters once
-// chunks (≈ len(acc)/p) grow well past the segment size; below that the
-// un-segmented schedule is used (see iallreduceRing). The per-step
-// send/recv segment counts can differ by one when adjacent chunks round
-// differently; rounds carrying only the longer side keep both rings
-// aligned.
+// forwarding — after one segment instead of one chunk; a seg no smaller
+// than the largest chunk gives the whole-chunk store-and-forward ring (see
+// iallreduceRing). The per-step send/recv segment counts can differ by one
+// when adjacent chunks round differently; rounds carrying only the longer
+// side keep both rings aligned.
 func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combiner, seg int) []round {
 	size := c.Size()
 	n := len(acc) / elem
@@ -309,50 +228,6 @@ func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combine
 	return rs
 }
 
-// reduceRounds compiles the binomial-tree reduction toward root: acc
-// starts as this rank's packed contribution; child contributions are
-// folded in with comb round by round, and a non-zero vrank finishes by
-// sending its partial result to the tree parent. Afterwards the root's acc
-// holds the full reduction.
-func reduceRounds(c *Comm, acc *cell, comb combiner, root int) []round {
-	size := c.Size()
-	vrank := (c.rank - root + size) % size
-	var rs []round
-	for mask := 1; mask < size; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % size
-			rs = append(rs, round{sends: []sendStep{{to: parent, data: func() []byte { return acc.b }}}})
-			return rs
-		}
-		srcV := vrank | mask
-		if srcV >= size {
-			continue
-		}
-		rs = append(rs, round{recvs: []recvStep{{
-			from: (srcV + root) % size,
-			on:   func(got []byte) error { return comb(got, acc.b) },
-		}}})
-	}
-	return rs
-}
-
-// rdRounds compiles recursive-doubling allreduce (power-of-two sizes
-// only): log2 p rounds of pairwise exchange-and-combine on acc.
-func rdRounds(c *Comm, acc *cell, comb combiner) []round {
-	size := c.Size()
-	var rs []round
-	for mask := 1; mask < size; mask <<= 1 {
-		partner := c.rank ^ mask
-		rs = append(rs, round{
-			// The send snapshots acc at post time, before this round's
-			// combine mutates it — the same order collExchange used.
-			recvs: []recvStep{{from: partner, on: func(got []byte) error { return comb(got, acc.b) }}},
-			sends: []sendStep{{to: partner, data: func() []byte { return acc.b }}},
-		})
-	}
-	return rs
-}
-
 // ---------------------------------------------------------------------
 // The non-blocking collective API. Each I* operation compiles a schedule,
 // posts its first round immediately (so communication overlaps the
@@ -374,7 +249,7 @@ func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
 	if c.collHier(0) {
 		return c.newCollRequestAlg(name, tag, "hier", 0, c.ihbarrierRounds(), nil)
 	}
-	return c.newCollRequest(name, tag, barrierRounds(c), nil)
+	return c.newCollRequest(name, tag, barrierRoundsIn(c, c.localityView().all), nil)
 }
 
 // Ibcast starts a non-blocking broadcast of count elements of dt from the
@@ -414,7 +289,7 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 			return err
 		}
 	}
-	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, bcastRounds(c, cl, root), finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, bcastRoundsIn(c, c.localityView().all, cl, root), finish)
 	if err == nil {
 		// Cacheable: the only build-time state is the root's packed cell,
 		// which reset re-derives; every other rank's cell is overwritten
@@ -434,65 +309,65 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	return req, err
 }
 
-// ibcastPipelined compiles the segmented broadcast — the pipelined
-// binomial tree in the mid-size band, the pipelined chain above it (see
-// collBinPipe and the bin_pipe_* table knobs). For raw-layout
-// datatypes the user buffer itself is the assembly space — the root streams
-// segments straight out of it and every other rank receives them straight
-// into it, no packing or staging at all; other fixed-size datatypes stage
-// through one packed buffer and unpack at the end.
-func (c *Comm) ibcastPipelined(name string, tag int, buf any, off, count int, dt Datatype, total, root int) (*CollRequest, error) {
-	var asm []byte
-	var finish, reset func() error
+// bcastAssembly returns the assembly space a segmented broadcast of total
+// packed bytes streams through. For raw-layout datatypes it is the user
+// buffer itself — the root streams segments straight out of it and every
+// other rank receives them straight into it, no packing or staging at all.
+// Other fixed-size datatypes stage through one packed buffer: the root
+// packs it now and reset re-packs it in place (the compiled sends hold
+// slices of it), every other rank unpacks it in finish.
+func bcastAssembly(rank, root int, buf any, off, count int, dt Datatype, total int) (asm []byte, finish, reset func() error, err error) {
 	if rw, ok := dt.(rawWindower); ok {
 		if win, ok := rw.window(buf, off, count); ok {
-			asm = win
+			return win, nil, nil, nil
 		}
 	}
-	if asm == nil {
-		if c.rank == root {
-			packed, err := packExact(dt, buf, off, count)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			if len(packed) != total {
-				return nil, fmt.Errorf("%s: %w: packed %d of %d bytes", name, ErrCount, len(packed), total)
-			}
-			asm = packed
-			reset = func() error {
-				// Re-pack into the same assembly buffer: the compiled
-				// sends hold slices of it.
-				if pi, ok := dt.(packerInto); ok {
-					return pi.PackInto(asm, buf, off, count)
-				}
-				b, err := packExact(dt, buf, off, count)
-				if err != nil {
-					return err
-				}
-				if len(b) != len(asm) {
-					return fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), len(asm))
-				}
-				copy(asm, b)
-				return nil
-			}
-		} else {
-			staging := make([]byte, total)
-			asm = staging
-			finish = func() error {
-				_, err := dt.Unpack(staging, buf, off, count)
-				return err
-			}
+	if rank != root {
+		asm = make([]byte, total)
+		finish = func() error {
+			_, err := dt.Unpack(asm, buf, off, count)
+			return err
 		}
+		return asm, finish, nil, nil
+	}
+	if asm, err = packExact(dt, buf, off, count); err != nil {
+		return nil, nil, nil, err
+	}
+	if len(asm) != total {
+		return nil, nil, nil, fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(asm), total)
+	}
+	reset = func() error {
+		if pi, ok := dt.(packerInto); ok {
+			return pi.PackInto(asm, buf, off, count)
+		}
+		b, err := packExact(dt, buf, off, count)
+		if err != nil {
+			return err
+		}
+		if len(b) != len(asm) {
+			return fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), len(asm))
+		}
+		copy(asm, b)
+		return nil
+	}
+	return asm, nil, reset, nil
+}
+
+// ibcastPipelined compiles the segmented broadcast — the pipelined
+// binomial tree in the mid-size band, the pipelined chain above it (see
+// collBinPipe and the bin_pipe_* table knobs) — over the assembly space
+// of bcastAssembly.
+func (c *Comm) ibcastPipelined(name string, tag int, buf any, off, count int, dt Datatype, total, root int) (*CollRequest, error) {
+	asm, finish, reset, err := bcastAssembly(c.rank, root, buf, off, count, dt, total)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	build, algName := pipeChainRoundsIn, "chain-pipelined"
+	if c.collBinPipe(total) {
+		build, algName = pipeBinomialRoundsIn, "binomial-pipelined"
 	}
 	seg := c.collSegSize()
-	var rounds []round
-	algName := "chain-pipelined"
-	if c.collBinPipe(total) {
-		rounds = pipeBinomialRounds(c, asm, root, seg)
-		algName = "binomial-pipelined"
-	} else {
-		rounds = pipeChainRounds(c, asm, root, seg)
-	}
+	rounds := build(c, c.localityView().all, asm, root, seg)
 	req, err := c.newCollRequestAlg(name, tag, algName, segCount(total, seg), rounds, finish)
 	if err == nil {
 		// Cacheable: the chain streams slices of asm, which is either user
@@ -876,7 +751,7 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 		rounds = c.ihreduceRounds(acc, comb, root)
 		algName = "hier"
 	} else {
-		rounds = reduceRounds(c, acc, comb, root)
+		rounds = reduceRoundsIn(c, c.localityView().all, acc, comb, root)
 	}
 	req, err := c.newCollRequestAlg(name, tag, algName, 0, rounds, finish)
 	if err == nil {
@@ -933,13 +808,14 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 		if size&(size-1) != 0 {
 			return nil, fmt.Errorf("%w: recursive doubling requires power-of-two size, have %d", ErrComm, size)
 		}
-		rounds = rdRounds(c, acc, comb)
+		rounds = rdRoundsIn(c, c.localityView().all, acc, comb)
 		algName = "recursive-doubling"
 	case AllreduceTreeBcast:
 		// Reduce to rank 0, then broadcast: the bcast phase reuses acc —
 		// rank 0 enters it holding the full reduction, every other rank's
 		// acc is overwritten by its tree parent before it forwards.
-		rounds = append(reduceRounds(c, acc, comb, 0), bcastRounds(c, acc, 0)...)
+		all := c.localityView().all
+		rounds = append(reduceRoundsIn(c, all, acc, comb, 0), bcastRoundsIn(c, all, acc, 0)...)
 		algName = "reduce-bcast"
 	case AllreduceHier:
 		if !c.localityView().multi() {
@@ -1011,22 +887,20 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 	maxChunk := (n + size - 1) / size * elem // chunk sizes differ by at most one element
 	scratch := wire.GetBuf(maxChunk)
 	// Once chunks outgrow the pipeline segment size, stream them as
-	// segments inside each ring step (ringAllreduceSegRounds): all ranks
-	// compute the same n/size/seg, so the choice agrees everywhere.
+	// segments inside each ring step; below that each step moves its whole
+	// chunk as one segment. All ranks compute the same n/size/seg, so the
+	// choice agrees everywhere.
 	seg := c.collSegSize()
 	if seg < elem {
 		seg = elem
 	} else {
 		seg -= seg % elem
 	}
-	var rounds []round
-	algName, nseg := "ring", 0
-	if maxChunk >= 2*seg {
-		rounds = ringAllreduceSegRounds(c, acc, scratch, elem, comb, seg)
-		algName, nseg = "ring-segmented", segCount(len(acc), seg)
-	} else {
-		rounds = ringAllreduceRounds(c, acc, scratch, elem, comb)
+	algName, nseg := "ring-segmented", segCount(len(acc), seg)
+	if maxChunk < 2*seg {
+		algName, nseg, seg = "ring", 0, maxChunk
 	}
+	rounds := ringAllreduceSegRounds(c, acc, scratch, elem, comb, seg)
 	finish := func() error {
 		wire.PutBuf(scratch)
 		if unpack != nil {

@@ -446,7 +446,7 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 	if acc.b, err = packExact(dt, sbuf, soff, total); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	rounds := reduceRounds(c, acc, comb, 0)
+	rounds := reduceRoundsIn(c, c.localityView().all, acc, comb, 0)
 	var finish func() error
 	if c.rank == 0 {
 		var rd round

@@ -184,8 +184,8 @@ type CollRequest struct {
 
 	// Instrumentation (see internal/prof): prof caches the device's
 	// recorder at creation (nil when profiling is off), alg names the
-	// algorithm the selection layer chose for this schedule ("" for the
-	// classic builders) and nseg its pipeline segment count (0 when
+	// algorithm the selection layer chose for this schedule ("" when the
+	// builder names none) and nseg its pipeline segment count (0 when
 	// unsegmented). Set once before the first round posts, read-only
 	// after, so prof is safe to read without r.mu in Wait.
 	prof *prof.Recorder
@@ -226,17 +226,19 @@ func (c *Comm) newCollRequest(name string, tag int, rounds []round, finish func(
 // (alg) and its pipeline segment count (nseg), so profiles and traces
 // can say which schedule actually ran.
 func (c *Comm) newCollRequestAlg(name string, tag int, alg string, nseg int, rounds []round, finish func() error) (*CollRequest, error) {
-	r := &CollRequest{c: c, name: name, tag: tag, alg: alg, nseg: nseg, rounds: rounds, finish: finish}
+	r := &CollRequest{c: c, name: name, tag: tag, prof: c.dev.Profiler(), alg: alg, nseg: nseg, rounds: rounds, finish: finish}
+	// Registration publishes r to sibling waiters (progressSiblings), which
+	// drive it under r.mu: holding r.mu until the first round is posted
+	// keeps them from posting a round before CollStart is recorded.
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if err := c.registerColl(r); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if p := c.dev.Profiler(); p != nil {
-		r.prof = p
-		p.CollStart(c.coll, tag, name, alg, nseg, len(rounds))
+	if r.prof != nil {
+		r.prof.CollStart(c.coll, tag, name, alg, nseg, len(rounds))
 	}
-	r.mu.Lock()
 	r.progressLocked()
-	r.mu.Unlock()
 	return r, nil
 }
 
@@ -555,10 +557,12 @@ func vSendStep(to int, dt Datatype, buf any, off, count int) (sendStep, error) {
 }
 
 // ---------------------------------------------------------------------
-// Segmented schedules. The helpers below compile pipelined rounds: the
-// payload is cut into fixed-size segments and successive rounds overlap
-// the receive of segment t with the forwarding of segment t-1, so a tree
-// edge streams segments instead of store-and-forwarding whole payloads.
+// Segmented schedules. The pipelined builders (pipeChainRoundsIn and
+// pipeBinomialRoundsIn in hier.go, ringAllreduceSegRounds in icoll.go)
+// cut the payload into fixed-size segments with the helpers below, and
+// successive rounds overlap the receive of segment t with the forwarding
+// of segment t-1, so a tree edge streams segments instead of
+// store-and-forwarding whole payloads.
 // Correctness leans on FIFO matching: all segments of one collective share
 // its tag, the transports deliver frames in order per (src, dst) pair, and
 // the device matches equal envelopes in posted/arrival order, so segment k
@@ -579,87 +583,4 @@ func segOf(buf []byte, i, seg int) []byte {
 	lo := i * seg
 	hi := min(lo+seg, len(buf))
 	return buf[lo:hi]
-}
-
-// pipeChainRounds compiles the segmented, pipelined chain broadcast: the
-// members form a chain in vrank order rooted at root, and in round t each
-// interior rank receives segment t from its chain predecessor while
-// forwarding segment t-1 to its successor. Total time approaches
-// (nseg + p - 2) segment times instead of the classic tree's
-// depth * whole-payload hops, which is what makes large broadcasts run at
-// link speed. buf holds the packed payload on the root and provides the
-// assembly space — ideally a raw window of the user buffer — everywhere
-// else; every rank must pass the same length.
-func pipeChainRounds(c *Comm, buf []byte, root, seg int) []round {
-	size := c.Size()
-	nseg := segCount(len(buf), seg)
-	if size == 1 || nseg == 0 {
-		return nil
-	}
-	vrank := (c.rank - root + size) % size
-	parent := (vrank - 1 + root + size) % size // group rank of chain predecessor
-	child := (vrank + 1 + root) % size         // group rank of chain successor
-	hasChild := vrank < size-1
-	var rs []round
-	for t := 0; t <= nseg; t++ {
-		var rd round
-		if vrank > 0 && t < nseg {
-			rd.recvs = []recvStep{{from: parent, buf: segOf(buf, t, seg)}}
-		}
-		if hasChild && t > 0 {
-			data := segOf(buf, t-1, seg)
-			rd.sends = []sendStep{{to: child, data: func() []byte { return data }}}
-		}
-		if len(rd.recvs)+len(rd.sends) > 0 {
-			rs = append(rs, rd)
-		}
-	}
-	return rs
-}
-
-// pipeBinomialRounds compiles the segmented, pipelined *binomial*
-// broadcast: the binomial tree of bcastRounds, but streaming seg-byte
-// segments down every tree edge instead of whole payloads. In round t a
-// non-root rank receives segment t from its tree parent while forwarding
-// segment t-1 to all of its binomial children. The pipeline fills in
-// depth (≈ log2 p) segment times instead of the chain's p-1, which wins
-// the mid-size band (the 64–256 KiB dip in BENCH_coll.json) where fill
-// latency still matters, at the cost of interior nodes sending each
-// segment to several children. buf has pipeChainRounds's contract.
-func pipeBinomialRounds(c *Comm, buf []byte, root, seg int) []round {
-	size := c.Size()
-	nseg := segCount(len(buf), seg)
-	if size == 1 || nseg == 0 {
-		return nil
-	}
-	vrank := (c.rank - root + size) % size
-	lb := pow2ceil(size)
-	parent := -1
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent = (vrank - lb + root) % size
-	}
-	var children []int
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < size {
-			children = append(children, (vrank+m+root)%size)
-		}
-	}
-	var rs []round
-	for t := 0; t <= nseg; t++ {
-		var rd round
-		if parent >= 0 && t < nseg {
-			rd.recvs = []recvStep{{from: parent, buf: segOf(buf, t, seg)}}
-		}
-		if len(children) > 0 && t > 0 {
-			data := segOf(buf, t-1, seg)
-			for _, ch := range children {
-				rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return data }})
-			}
-		}
-		if len(rd.recvs)+len(rd.sends) > 0 {
-			rs = append(rs, rd)
-		}
-	}
-	return rs
 }

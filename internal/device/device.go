@@ -137,15 +137,14 @@ func FailedRank(err error) (rank int, ok bool) {
 
 // Stats counts protocol events; the protocol benchmarks and tests read it.
 type Stats struct {
-	EagerSent    atomic.Int64
-	EagerRecv    atomic.Int64
-	RTSSent      atomic.Int64
-	RTSRecv      atomic.Int64
-	CTSSent      atomic.Int64
-	DataSent     atomic.Int64
-	DataRecv     atomic.Int64
-	Unexpected   atomic.Int64 // messages queued before a matching receive
-	PostedDirect atomic.Int64 // messages that met an already-posted receive
+	EagerSent  atomic.Int64
+	EagerRecv  atomic.Int64
+	RTSSent    atomic.Int64
+	RTSRecv    atomic.Int64
+	CTSSent    atomic.Int64
+	DataSent   atomic.Int64
+	DataRecv   atomic.Int64
+	Unexpected atomic.Int64 // messages queued before a matching receive
 }
 
 // unexpected is an arrived message (eager payload or rendezvous header)
@@ -529,7 +528,6 @@ func (d *Device) Irecv(buf []byte, src, tag, ctx int) (*Request, error) {
 		} else {
 			d.grantRendezvousLocked(r, u.src, u.tag, u.msgID, u.plen)
 		}
-		d.stats.PostedDirect.Add(1)
 		if p := d.prof; p != nil {
 			p.RecvPost(ctx)
 		}
