@@ -1,4 +1,5 @@
-// mpjbench regenerates every experiment table from EXPERIMENTS.md:
+// mpjbench regenerates the experiment tables of this repository; the list
+// below is the experiment index:
 //
 //	mpjbench                 # run everything
 //	mpjbench -exp F1         # one experiment (F1 F2 E1 E2 E3 E4 E5 E7 A1 A2 BW PP ICOLL TYPED COLL VCOLL)
@@ -25,7 +26,10 @@
 //	                         # BENCH_elastic.json; with -quick: regression check
 //	                         # against the committed file)
 //	mpjbench -tune           # measure algorithm crossovers per device and write
-//	                         # the table at MPJ_COLL_TABLE / ~/.mpj/colltab.json
+//	                         # the table at MPJ_COLL_TABLE
+//
+// Only a full run writes a BENCH_*.json file; a -quick run never
+// overwrites the committed baseline, it only gates against it.
 //
 // -hold keeps the process alive for the given duration after the
 // experiments finish, so an expvar endpoint served under MPJ_PROF_ADDR
@@ -33,12 +37,15 @@
 //
 // -tune runs no experiment: it sweeps payload x np x algorithm per device,
 // derives the measured crossover table, and writes it where MPJ_COLL_TABLE
-// points (default ~/.mpj/colltab.json) so the selection layer in
-// internal/core/collalg.go prefers measured thresholds over its built-in
-// constants. With -quick the sweep shrinks to the CI smoke subset.
+// points (it fails when the variable is unset), so that processes started
+// with the same MPJ_COLL_TABLE prefer the measured thresholds over the
+// built-in constants of internal/core/collalg.go. With -quick the sweep
+// shrinks to the CI smoke subset.
 //
-// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded results and their interpretation.
+// README.md ("Tuning", "Observability", "Fault tolerance", "Elastic jobs",
+// "Benchmarks") and ARCHITECTURE.md describe what each experiment
+// measures; the BENCH_*.json files at the repository root hold the
+// recorded results.
 package main
 
 import (
@@ -64,7 +71,7 @@ var quick = flag.Bool("quick", false, "smaller sweeps for a quick run")
 func main() {
 	exp := flag.String("exp", "", "experiment id (empty = all): F1 F2 E1 E2 E3 E4 E5 E7 A1 A2 BW PP ICOLL TYPED COLL VCOLL FT PROF RMA ELASTIC (alias: pingpong)")
 	hold := flag.Duration("hold", 0, "keep the process alive this long after the experiments (for curling an MPJ_PROF_ADDR endpoint)")
-	tune := flag.Bool("tune", false, "measure algorithm crossovers per device and write the table MPJ_COLL_TABLE points at (default ~/.mpj/colltab.json); -quick trims the sweep to a CI smoke")
+	tune := flag.Bool("tune", false, "measure algorithm crossovers per device and write the table MPJ_COLL_TABLE points at (required); -quick trims the sweep to a CI smoke")
 	flag.Parse()
 	if strings.EqualFold(*exp, "pingpong") {
 		*exp = "PP"
@@ -77,10 +84,7 @@ func main() {
 	if *tune {
 		path := os.Getenv(core.CollTableEnv)
 		if path == "" {
-			path = core.DefaultCollTablePath()
-		}
-		if path == "" {
-			log.Fatalf("tune: no output path (no home directory; set %s)", core.CollTableEnv)
+			log.Fatalf("tune: set %s to the path the crossover table should be written to (jobs read it only from there)", core.CollTableEnv)
 		}
 		t, err := bench.TuneAndWrite(path, *quick)
 		if err != nil {
@@ -123,23 +127,16 @@ func main() {
 		{"BW", func() (*bench.Table, error) { return bench.BandwidthTable(sizes) }},
 		{"PP", func() (*bench.Table, error) { return bench.PPDeviceCompare(sizes) }},
 		{"ICOLL", func() (*bench.Table, error) { return bench.IcollOverlap(4, icollCounts, icollIters) }},
-		{"TYPED", func() (*bench.Table, error) {
-			t, js, err := bench.TypedCompare(*quick)
-			if err != nil {
-				return nil, err
-			}
-			if werr := os.WriteFile("BENCH_typed.json", js, 0o644); werr != nil {
-				return nil, fmt.Errorf("writing BENCH_typed.json: %w", werr)
-			}
-			fmt.Println("  (results recorded in BENCH_typed.json)")
-			return t, nil
-		}},
-		{"COLL", runColl},
-		{"VCOLL", runVcoll},
-		{"FT", runFT},
-		{"PROF", runProf},
-		{"RMA", runRma},
-		{"ELASTIC", runElastic},
+		{"TYPED", record("BENCH_typed.json", bench.TypedCompare, nil)},
+		{"COLL", record("BENCH_coll.json", bench.CollAlgSweep, bench.CollGate)},
+		{"VCOLL", record("BENCH_vcoll.json", bench.VcollSweep, bench.VcollGate)},
+		{"FT", record("BENCH_ft.json", bench.FTSweep, bench.FTGate)},
+		// The quick sweep fails on its own when counters cost more than
+		// off·1.10 + 200 ns on the ping-pong; the full run also keeps the
+		// trace mode's timelines under BENCH_prof_trace/.
+		{"PROF", record("BENCH_prof.json", bench.ProfSweep, nil)},
+		{"RMA", record("BENCH_rma.json", bench.RmaSweep, bench.RmaGate)},
+		{"ELASTIC", record("BENCH_elastic.json", elasticSweep, bench.ElasticGate)},
 	}
 
 	ran := 0
@@ -165,210 +162,54 @@ func main() {
 	}
 }
 
-// runColl runs the large-message collective algorithm sweep. The full run
-// records BENCH_coll.json; the -quick run instead re-measures a subset and
-// fails when a classic-vs-segmented/ring speedup regresses more than 20%
-// against the committed file — the CI smoke gate for the algorithm layer.
-func runColl() (*bench.Table, error) {
-	t, res, err := bench.CollAlgSweep(*quick)
-	if err != nil {
-		return nil, err
-	}
-	if !*quick {
-		js, err := bench.MarshalCollResult(res)
+// record returns the runner of a recorded experiment. The full run writes
+// the sweep's record to file. A -quick run never writes: when gate is
+// non-nil it reads the committed file (skipping the check when there is
+// none) and fails when the quick sweep regresses against it — the CI
+// smoke gate. An experiment whose sweep checks itself (PROF) or that has
+// no gate (TYPED) passes a nil gate.
+func record[R any](file string, sweep func(quick bool) (*bench.Table, *bench.Result[R], error),
+	gate func(cur, base *bench.Result[R]) error) func() (*bench.Table, error) {
+	return func() (*bench.Table, error) {
+		t, res, err := sweep(*quick)
 		if err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile("BENCH_coll.json", js, 0o644); err != nil {
-			return nil, fmt.Errorf("writing BENCH_coll.json: %w", err)
+		if !*quick {
+			js, err := res.Marshal()
+			if err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(file, js, 0o644); err != nil {
+				return nil, fmt.Errorf("writing %s: %w", file, err)
+			}
+			fmt.Printf("  (results recorded in %s)\n", file)
+			return t, nil
 		}
-		fmt.Println("  (results recorded in BENCH_coll.json)")
-		return t, nil
-	}
-	raw, err := os.ReadFile("BENCH_coll.json")
-	if err != nil {
-		fmt.Println("  (no committed BENCH_coll.json; skipping regression check)")
-		return t, nil
-	}
-	var baseline bench.CollBenchResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return nil, fmt.Errorf("parsing BENCH_coll.json: %w", err)
-	}
-	if err := bench.CompareCollBaseline(res, &baseline, 0.2); err != nil {
-		return nil, err
-	}
-	fmt.Println("  (speedups within 20% of committed BENCH_coll.json)")
-	return t, nil
-}
-
-// runVcoll runs the varying-count collective sweep. The full run records
-// BENCH_vcoll.json; the -quick run re-measures the 1 MiB np=4 subset and
-// fails when the classic-vs-ring reduce-scatter speedup regresses more
-// than 20% against the committed file — the CI smoke gate for the V
-// schedules.
-func runVcoll() (*bench.Table, error) {
-	t, res, err := bench.VcollSweep(*quick)
-	if err != nil {
-		return nil, err
-	}
-	if !*quick {
-		js, err := bench.MarshalVcollResult(res)
+		if gate == nil {
+			fmt.Printf("  (quick run; %s left as committed)\n", file)
+			return t, nil
+		}
+		raw, err := os.ReadFile(file)
 		if err != nil {
-			return nil, err
+			fmt.Printf("  (no committed %s; skipping regression check)\n", file)
+			return t, nil
 		}
-		if err := os.WriteFile("BENCH_vcoll.json", js, 0o644); err != nil {
-			return nil, fmt.Errorf("writing BENCH_vcoll.json: %w", err)
+		var base bench.Result[R]
+		if err := json.Unmarshal(raw, &base); err != nil {
+			return nil, fmt.Errorf("parsing %s: %w", file, err)
 		}
-		fmt.Println("  (results recorded in BENCH_vcoll.json)")
+		if err := gate(res, &base); err != nil {
+			return nil, fmt.Errorf("quick run vs committed %s: %w", file, err)
+		}
+		fmt.Printf("  (within the regression gate of committed %s)\n", file)
 		return t, nil
 	}
-	raw, err := os.ReadFile("BENCH_vcoll.json")
-	if err != nil {
-		fmt.Println("  (no committed BENCH_vcoll.json; skipping regression check)")
-		return t, nil
-	}
-	var baseline bench.VcollBenchResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return nil, fmt.Errorf("parsing BENCH_vcoll.json: %w", err)
-	}
-	if err := bench.CompareVcollBaseline(res, &baseline, 0.2); err != nil {
-		return nil, err
-	}
-	fmt.Println("  (speedups within 20% of committed BENCH_vcoll.json)")
-	return t, nil
 }
 
-// runFT runs the fault-tolerance micro-experiment. The full run records
-// agreement and shrink latency in BENCH_ft.json; the -quick run
-// re-measures the np=4 subset and fails when the latency exceeds three
-// times the committed value — the CI smoke gate for the recovery path.
-func runFT() (*bench.Table, error) {
-	t, res, err := bench.FTSweep(*quick)
-	if err != nil {
-		return nil, err
-	}
-	if !*quick {
-		js, err := bench.MarshalFTResult(res)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile("BENCH_ft.json", js, 0o644); err != nil {
-			return nil, fmt.Errorf("writing BENCH_ft.json: %w", err)
-		}
-		fmt.Println("  (results recorded in BENCH_ft.json)")
-		return t, nil
-	}
-	raw, err := os.ReadFile("BENCH_ft.json")
-	if err != nil {
-		fmt.Println("  (no committed BENCH_ft.json; skipping regression check)")
-		return t, nil
-	}
-	var baseline bench.FTBenchResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return nil, fmt.Errorf("parsing BENCH_ft.json: %w", err)
-	}
-	if err := bench.CompareFTBaseline(res, &baseline, 3.0); err != nil {
-		return nil, err
-	}
-	fmt.Println("  (latencies within 3x of committed BENCH_ft.json)")
-	return t, nil
-}
-
-// runProf runs the instrumentation overhead matrix. The full run records
-// BENCH_prof.json and keeps the trace mode's per-rank timelines under
-// BENCH_prof_trace/; the -quick run is the CI smoke gate — it fails when
-// the counters mode costs more than 10% over profiling-off on the
-// ping-pong (the ≤10% always-on budget from DESIGN).
-func runProf() (*bench.Table, error) {
-	t, res, err := bench.ProfSweep(*quick)
-	if err != nil {
-		return nil, err
-	}
-	if *quick {
-		fmt.Println("  (counters within the 10% ping-pong overhead budget)")
-		return t, nil
-	}
-	js, err := bench.MarshalProfResult(res)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile("BENCH_prof.json", js, 0o644); err != nil {
-		return nil, fmt.Errorf("writing BENCH_prof.json: %w", err)
-	}
-	fmt.Println("  (results recorded in BENCH_prof.json, traces in BENCH_prof_trace/)")
-	return t, nil
-}
-
-// runRma runs the one-sided vs two-sided sweep. The full run records
-// BENCH_rma.json; the -quick run re-measures the 64 KiB subset and fails
-// when the put-vs-sendrecv ratio regresses more than 20% against the
-// committed file — the CI smoke gate for the window layer.
-func runRma() (*bench.Table, error) {
-	t, res, err := bench.RmaSweep(*quick)
-	if err != nil {
-		return nil, err
-	}
-	if !*quick {
-		js, err := bench.MarshalRmaResult(res)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile("BENCH_rma.json", js, 0o644); err != nil {
-			return nil, fmt.Errorf("writing BENCH_rma.json: %w", err)
-		}
-		fmt.Println("  (results recorded in BENCH_rma.json)")
-		return t, nil
-	}
-	raw, err := os.ReadFile("BENCH_rma.json")
-	if err != nil {
-		fmt.Println("  (no committed BENCH_rma.json; skipping regression check)")
-		return t, nil
-	}
-	var baseline bench.RmaBenchResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return nil, fmt.Errorf("parsing BENCH_rma.json: %w", err)
-	}
-	if err := bench.CompareRmaBaseline(res, &baseline, 0.2); err != nil {
-		return nil, err
-	}
-	fmt.Println("  (one-sided ratios within 20% of committed BENCH_rma.json)")
-	return t, nil
-}
-
-// runElastic runs the elastic-recovery cycle sweep. The full run records
-// detection and rebuild latency in BENCH_elastic.json; the -quick run
-// re-measures the np=4 subset and fails when a latency exceeds three
-// times the committed value — the CI smoke gate for the elastic runtime.
-func runElastic() (*bench.Table, error) {
-	t, res, err := bench.ElasticSweep(*quick, elasticCycle)
-	if err != nil {
-		return nil, err
-	}
-	if !*quick {
-		js, err := bench.MarshalElasticResult(res)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile("BENCH_elastic.json", js, 0o644); err != nil {
-			return nil, fmt.Errorf("writing BENCH_elastic.json: %w", err)
-		}
-		fmt.Println("  (results recorded in BENCH_elastic.json)")
-		return t, nil
-	}
-	raw, err := os.ReadFile("BENCH_elastic.json")
-	if err != nil {
-		fmt.Println("  (no committed BENCH_elastic.json; skipping regression check)")
-		return t, nil
-	}
-	var baseline bench.ElasticBenchResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return nil, fmt.Errorf("parsing BENCH_elastic.json: %w", err)
-	}
-	if err := bench.CompareElasticBaseline(res, &baseline, 3.0); err != nil {
-		return nil, err
-	}
-	fmt.Println("  (latencies within 3x of committed BENCH_elastic.json)")
-	return t, nil
+// elasticSweep runs the elastic experiment over elasticCycle.
+func elasticSweep(quick bool) (*bench.Table, *bench.Result[bench.ElasticBenchRow], error) {
+	return bench.ElasticSweep(quick, elasticCycle)
 }
 
 // elasticCycle runs one fresh in-process elastic job: the last rank dies

@@ -1,7 +1,15 @@
-// Package bench implements the experiment harness behind EXPERIMENTS.md:
-// every figure of the paper and every measurable design claim has a
-// generator here that produces the corresponding table. cmd/mpjbench and
-// the root bench_test.go are thin callers.
+// Package bench implements the experiment harness behind cmd/mpjbench
+// (whose doc comment is the experiment index): every figure of the paper
+// and every measurable design claim has a generator here that produces
+// the corresponding table. cmd/mpjbench and the root bench_test.go are
+// thin callers.
+//
+// The harness has one path per concern: one in-process job runner
+// (runJobOn, job.go) with per-rank device options, one rank-0 timing loop
+// (timeOnRank0), one record type per BENCH_*.json file (Result[R] over
+// the experiment's row type, record.go), and one comparator per gate kind
+// (compareRatios, compareLatencies) behind each experiment's Gate
+// function.
 //
 // See ARCHITECTURE.md at the repository root for where this package sits in
 // the layer stack.

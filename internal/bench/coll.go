@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -28,14 +27,6 @@ type CollBenchRow struct {
 	Bytes   int     `json:"bytes"` // payload bytes per rank
 	NsPerOp float64 `json:"ns_per_op"`
 	MiBps   float64 `json:"mib_per_s"` // payload bytes / time (algorithm bandwidth)
-}
-
-// CollBenchResult is the JSON document mpjbench -exp coll writes.
-type CollBenchResult struct {
-	Experiment string         `json:"experiment"`
-	Device     string         `json:"device"`
-	Note       string         `json:"note"`
-	Rows       []CollBenchRow `json:"rows"`
 }
 
 // collIters scales iteration counts down as payloads grow.
@@ -114,21 +105,7 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 		default:
 			return fmt.Errorf("unknown collective %q", op)
 		}
-		for i := 0; i < 2; i++ { // warm up pools, routes, schedules
-			if err := body(); err != nil {
-				return err
-			}
-		}
-		if w.Rank() == 0 {
-			ns, _, err := measureOnRank0(w, iters, 3, body)
-			if err != nil {
-				return err
-			}
-			row.NsPerOp = ns
-			row.MiBps = float64(bytes) / (1 << 20) / (ns / 1e9)
-			return nil
-		}
-		return runOther(w, iters, 3, body)
+		return timeOnRank0(w, 2, iters, bytes, body, &row.NsPerOp, &row.MiBps)
 	})
 	return row, err
 }
@@ -140,7 +117,7 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 // hierarchical family must beat both classic and segmented/ring at
 // >=1 MiB on a cyclic 2-group x 4-rank hybrid layout (intra-group chan,
 // inter-group localhost TCP).
-func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
+func CollAlgSweep(quick bool) (*Table, *Result[CollBenchRow], error) {
 	type config struct {
 		op     string
 		nps    []int
@@ -169,7 +146,7 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 		}
 	}
 
-	res := &CollBenchResult{
+	res := &Result[CollBenchRow]{
 		Experiment: "coll",
 		Device:     "hyb",
 		Note: "float64 payloads, root 0, min of 3 reps. 'bytes' is the payload per rank " +
@@ -226,20 +203,11 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	return t, res, nil
 }
 
-// MarshalCollResult renders the result the way BENCH_coll.json stores it.
-func MarshalCollResult(res *CollBenchResult) ([]byte, error) {
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(js, '\n'), nil
-}
-
 // collSpeedups indexes classic-vs-alternative speedup ratios by
 // configuration. The key carries the non-classic algorithm's name, since
 // the multi-group rows compare several algorithms against the same
 // classic measurement.
-func collSpeedups(res *CollBenchResult) map[string]float64 {
+func collSpeedups(res *Result[CollBenchRow]) map[string]float64 {
 	classic := map[string]float64{}
 	for _, r := range res.Rows {
 		if r.Alg == "classic" {
@@ -259,37 +227,9 @@ func collSpeedups(res *CollBenchResult) map[string]float64 {
 	return out
 }
 
-// CompareCollBaseline fails when a measured classic-vs-large speedup falls
-// more than tol (fractionally, e.g. 0.2 = 20%) below the committed
-// baseline's speedup for the same configuration. Ratios self-normalize
-// across machines, so the check tracks algorithmic regressions rather than
-// hardware differences; additionally the required speedup is capped at
-// 2.0x — the acceptance claim — so a core-starved CI runner that still
-// shows a healthy >=2x win never flakes just because the dev-machine
-// baseline recorded a larger one. Configurations missing from either side
-// are skipped.
-func CompareCollBaseline(cur, baseline *CollBenchResult, tol float64) error {
-	base := collSpeedups(baseline)
-	meas := collSpeedups(cur)
-	var bad []string
-	checked := 0
-	for key, want := range base {
-		got, ok := meas[key]
-		if !ok {
-			continue
-		}
-		checked++
-		need := min(want*(1-tol), 2.0)
-		if got < need {
-			bad = append(bad, fmt.Sprintf("%s: speedup %.2fx < required %.2fx (baseline %.2fx - %.0f%%)",
-				key, got, need, want, tol*100))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("collective algorithm regression vs committed BENCH_coll.json: %v", bad)
-	}
-	if checked == 0 {
-		return fmt.Errorf("no overlapping configurations between run and baseline")
-	}
-	return nil
+// CollGate is the -quick regression gate against BENCH_coll.json: each
+// classic-vs-alternative speedup must stay within 20% of the baseline's,
+// the requirement capped at the 2.0x acceptance claim.
+func CollGate(cur, base *Result[CollBenchRow]) error {
+	return compareRatios(collSpeedups(cur), collSpeedups(base), 0.2, 2.0)
 }

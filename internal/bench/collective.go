@@ -2,76 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mpj/internal/core"
-	"mpj/internal/device"
-	"mpj/internal/transport"
 )
-
-// runJob runs an np-rank in-process job over the channel mesh, handing
-// each rank to fn.
-func runJob(np int, fn func(w *core.Comm) error) error {
-	eps := transport.NewChanMesh(np)
-	return runJobOn(len(eps), func(i int) (transport.Transport, error) { return eps[i], nil }, fn)
-}
-
-// runJobOn runs an np-rank in-process job over endpoints built by mkEp.
-// The first rank to fail aborts every device, so peers blocked in a
-// collective (or the final barrier) error out instead of hanging the
-// harness.
-func runJobOn(np int, mkEp func(rank int) (transport.Transport, error), fn func(w *core.Comm) error) error {
-	devs := make([]*device.Device, np)
-	worlds := make([]*core.Comm, np)
-	abortAll := func() {
-		for _, d := range devs {
-			if d != nil {
-				d.Abort()
-			}
-		}
-	}
-	for i := 0; i < np; i++ {
-		ep, err := mkEp(i)
-		if err != nil {
-			abortAll()
-			return err
-		}
-		if devs[i], err = device.Open(ep); err != nil {
-			abortAll()
-			return err
-		}
-		if worlds[i], err = core.NewWorld(devs[i]); err != nil {
-			abortAll()
-			return err
-		}
-	}
-	var abortOnce sync.Once
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	for i := 0; i < np; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := fn(worlds[i]); err != nil {
-				errs[i] = err
-				abortOnce.Do(abortAll)
-				return
-			}
-			errs[i] = worlds[i].Barrier()
-		}()
-	}
-	wg.Wait()
-	for _, d := range devs {
-		d.Close()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // timeCollective measures the mean per-operation time of a collective on
 // rank 0. mkOp builds a rank-local operation closure (each rank owns its
@@ -179,8 +113,9 @@ func E4CollectiveScaling(nps []int, payload int) (*Table, error) {
 }
 
 // A1AllreduceAblation compares the two Allreduce algorithms across sizes
-// on a power-of-two communicator — the design-choice ablation from
-// DESIGN.md.
+// on a power-of-two communicator — the ablation behind the recursive
+// doubling choice (README.md "Tuning", ARCHITECTURE.md "Segmentation,
+// pipelining and algorithm selection").
 func A1AllreduceAblation(np int, counts []int) (*Table, error) {
 	if np&(np-1) != 0 {
 		return nil, fmt.Errorf("A1 requires power-of-two np, got %d", np)
@@ -230,7 +165,7 @@ func BandwidthTable(sizes []int) (*Table, error) {
 	for _, size := range sizes {
 		iters := itersFor(size)
 		var per time.Duration
-		err := runPair(-1, func(w *core.Comm) error {
+		err := runJob(2, func(w *core.Comm) error {
 			buf := make([]byte, size)
 			const window = 16 // keep the pipe full
 			if w.Rank() == 0 {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 )
@@ -37,24 +36,16 @@ type ElasticBenchRow struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
-// ElasticBenchResult is the JSON document mpjbench -exp elastic writes.
-type ElasticBenchResult struct {
-	Experiment string            `json:"experiment"`
-	Device     string            `json:"device"`
-	Note       string            `json:"note"`
-	Rows       []ElasticBenchRow `json:"rows"`
-}
-
 // ElasticSweep runs the elastic-recovery micro-experiment. quick trims
 // the sweep to the subset the CI smoke gate re-measures.
-func ElasticSweep(quick bool, cycle ElasticCycleFunc) (*Table, *ElasticBenchResult, error) {
+func ElasticSweep(quick bool, cycle ElasticCycleFunc) (*Table, *Result[ElasticBenchRow], error) {
 	nps := []int{3, 4, 8}
 	iters := 10
 	if quick {
 		nps = []int{4}
 		iters = 5
 	}
-	res := &ElasticBenchResult{
+	res := &Result[ElasticBenchRow]{
 		Experiment: "elastic",
 		Device:     "chan",
 		Note:       "detect: victim death to typed ErrRankFailed at a survivor; rebuild: Shrink+Spawn+Merge to a verified full-size world (fresh job per sample)",
@@ -86,49 +77,9 @@ func ElasticSweep(quick bool, cycle ElasticCycleFunc) (*Table, *ElasticBenchResu
 	return t, res, nil
 }
 
-// MarshalElasticResult renders the result the way BENCH_elastic.json
-// stores it.
-func MarshalElasticResult(res *ElasticBenchResult) ([]byte, error) {
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(js, '\n'), nil
-}
-
-// CompareElasticBaseline fails when a measured latency exceeds factor
-// times the committed baseline's, with a 10ms grace floor so
-// microsecond-scale baselines never flake on a loaded runner.
-func CompareElasticBaseline(cur, baseline *ElasticBenchResult, factor float64) error {
-	base := map[string]float64{}
-	for _, r := range baseline.Rows {
-		base[fmt.Sprintf("%s/np%d", r.Op, r.NP)] = r.NsPerOp
-	}
-	const floorNs = 10e6
-	var bad []string
-	checked := 0
-	for _, r := range cur.Rows {
-		key := fmt.Sprintf("%s/np%d", r.Op, r.NP)
-		want, ok := base[key]
-		if !ok {
-			continue
-		}
-		checked++
-		limit := want * factor
-		if limit < floorNs {
-			limit = floorNs
-		}
-		if r.NsPerOp > limit {
-			bad = append(bad, fmt.Sprintf("%s: %s > limit %s (baseline %s x%.1f)",
-				key, fmtDur(time.Duration(r.NsPerOp)), fmtDur(time.Duration(limit)),
-				fmtDur(time.Duration(want)), factor))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("elastic recovery latency regression vs committed BENCH_elastic.json: %v", bad)
-	}
-	if checked == 0 {
-		return fmt.Errorf("no overlapping configurations between run and baseline")
-	}
-	return nil
+// ElasticGate is the -quick regression gate against BENCH_elastic.json:
+// each latency must stay within 3x the baseline's, with the 10 ms grace
+// floor, like FTGate.
+func ElasticGate(cur, base *Result[ElasticBenchRow]) error {
+	return compareLatencies(latencies(cur), latencies(base), 3.0)
 }

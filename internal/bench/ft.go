@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"mpj/internal/core"
-	"mpj/internal/device"
 	"mpj/internal/fault"
 	"mpj/internal/transport"
 )
@@ -29,14 +27,6 @@ type FTBenchRow struct {
 	Op      string  `json:"op"` // "agree" | "shrink"
 	NP      int     `json:"np"`
 	NsPerOp float64 `json:"ns_per_op"`
-}
-
-// FTBenchResult is the JSON document mpjbench -exp ft writes.
-type FTBenchResult struct {
-	Experiment string       `json:"experiment"`
-	Device     string       `json:"device"`
-	Note       string       `json:"note"`
-	Rows       []FTBenchRow `json:"rows"`
 }
 
 // measureAgree times the healthy-world agreement on an np-rank job.
@@ -85,27 +75,14 @@ func shrinkOnce(np int) (time.Duration, error) {
 	victim := np - 1
 	eps := transport.NewChanMesh(np)
 	dom := fault.NewDomain()
-	devs := make([]*device.Device, np)
-	worlds := make([]*core.Comm, np)
-	abortAll := func() {
-		for _, d := range devs {
-			if d != nil {
-				d.Abort()
-			}
-		}
+	devs, worlds, abortAll, err := openJob(np, func(rank int) (transport.Transport, error) {
+		return dom.Wrap(eps[rank]), nil
+	}, nil)
+	if err != nil {
+		return 0, err
 	}
-	for i := range eps {
-		d, err := device.Open(dom.Wrap(eps[i]))
-		if err != nil {
-			abortAll()
-			return 0, err
-		}
-		devs[i] = d
+	for i, d := range devs {
 		dom.Bind(i, d)
-		if worlds[i], err = core.NewWorld(d); err != nil {
-			abortAll()
-			return 0, err
-		}
 	}
 
 	var lat time.Duration
@@ -148,14 +125,14 @@ func shrinkOnce(np int) (time.Duration, error) {
 
 // FTSweep runs the fault-tolerance micro-experiment. quick trims the
 // sweep to the subset the CI smoke gate re-measures.
-func FTSweep(quick bool) (*Table, *FTBenchResult, error) {
+func FTSweep(quick bool) (*Table, *Result[FTBenchRow], error) {
 	nps := []int{2, 4, 8}
 	agreeIters, shrinkIters := 50, 20
 	if quick {
 		nps = []int{4}
 		agreeIters, shrinkIters = 20, 5
 	}
-	res := &FTBenchResult{
+	res := &Result[FTBenchRow]{
 		Experiment: "ft",
 		Device:     "chan",
 		Note:       "agree: healthy-world consensus latency; shrink: death observed to shrunken communicator ready (fresh job per sample)",
@@ -182,48 +159,19 @@ func FTSweep(quick bool) (*Table, *FTBenchResult, error) {
 	return t, res, nil
 }
 
-// MarshalFTResult renders the result the way BENCH_ft.json stores it.
-func MarshalFTResult(res *FTBenchResult) ([]byte, error) {
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
+// latencies indexes a latency record's ns/op by "op/npN"; the FT and
+// elastic rows share one schema.
+func latencies[R FTBenchRow | ElasticBenchRow](res *Result[R]) map[string]float64 {
+	out := map[string]float64{}
+	for _, r := range res.Rows {
+		l := FTBenchRow(r)
+		out[fmt.Sprintf("%s/np%d", l.Op, l.NP)] = l.NsPerOp
 	}
-	return append(js, '\n'), nil
+	return out
 }
 
-// CompareFTBaseline fails when a measured latency exceeds factor times
-// the committed baseline's, with a 10ms grace floor so microsecond-scale
-// baselines never flake on a loaded runner.
-func CompareFTBaseline(cur, baseline *FTBenchResult, factor float64) error {
-	base := map[string]float64{}
-	for _, r := range baseline.Rows {
-		base[fmt.Sprintf("%s/np%d", r.Op, r.NP)] = r.NsPerOp
-	}
-	const floorNs = 10e6
-	var bad []string
-	checked := 0
-	for _, r := range cur.Rows {
-		key := fmt.Sprintf("%s/np%d", r.Op, r.NP)
-		want, ok := base[key]
-		if !ok {
-			continue
-		}
-		checked++
-		limit := want * factor
-		if limit < floorNs {
-			limit = floorNs
-		}
-		if r.NsPerOp > limit {
-			bad = append(bad, fmt.Sprintf("%s: %s > limit %s (baseline %s x%.1f)",
-				key, fmtDur(time.Duration(r.NsPerOp)), fmtDur(time.Duration(limit)),
-				fmtDur(time.Duration(want)), factor))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("fault-tolerance latency regression vs committed BENCH_ft.json: %v", bad)
-	}
-	if checked == 0 {
-		return fmt.Errorf("no overlapping configurations between run and baseline")
-	}
-	return nil
+// FTGate is the -quick regression gate against BENCH_ft.json: each
+// latency must stay within 3x the baseline's, with the 10 ms grace floor.
+func FTGate(cur, base *Result[FTBenchRow]) error {
+	return compareLatencies(latencies(cur), latencies(base), 3.0)
 }

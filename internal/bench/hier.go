@@ -59,5 +59,5 @@ func runJobHybGroups(np, groups int, fn func(w *core.Comm) error) error {
 			return fmt.Errorf("bench: hyb rank %d: %w", i, err)
 		}
 	}
-	return runJobOn(np, func(rank int) (transport.Transport, error) { return eps[rank], nil }, fn)
+	return runJobOn(np, func(rank int) (transport.Transport, error) { return eps[rank], nil }, nil, fn)
 }

@@ -21,7 +21,7 @@ func runJobHyb(np int, fn func(w *core.Comm) error) error {
 	jobID := benchJobID()
 	return runJobOn(np, func(rank int) (transport.Transport, error) {
 		return transport.NewHybTransport(transport.HybConfig{Rank: rank, JobID: jobID, Locs: locs})
-	}, fn)
+	}, nil, fn)
 }
 
 // spinSink defeats dead-code elimination in busySpin; atomic because all

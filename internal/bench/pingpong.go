@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mpj/internal/core"
@@ -65,10 +64,7 @@ func DevicePingPong(size, iters, eagerLimit int, mode device.Mode) (time.Duratio
 // the workhorse behind the PP device-comparison experiment. The devices
 // take ownership of (and close) both transports.
 func DevicePingPongOver(t0, t1 transport.Transport, size, iters, eagerLimit int, mode device.Mode) (time.Duration, error) {
-	opts := []device.Option{}
-	if eagerLimit >= 0 {
-		opts = append(opts, device.WithEagerLimit(eagerLimit))
-	}
+	opts := eagerOpts(eagerLimit)
 	d0, err := device.Open(t0, opts...)
 	if err != nil {
 		return 0, err
@@ -132,53 +128,13 @@ func DevicePingPongOver(t0, t1 transport.Transport, size, iters, eagerLimit int,
 	return elapsed / time.Duration(iters), nil
 }
 
-// runPair runs a 2-rank in-process job and hands each rank to fn.
-func runPair(eagerLimit int, fn func(w *core.Comm) error) error {
-	eps := transport.NewChanMesh(2)
-	opts := []device.Option{}
-	if eagerLimit >= 0 {
-		opts = append(opts, device.WithEagerLimit(eagerLimit))
-	}
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d, err := device.Open(eps[i], opts...)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer d.Close()
-			w, err := core.NewWorld(d)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := fn(w); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = w.Barrier()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CorePingPong measures the full-stack round trip through the MPJ API
-// with the given datatype. bufFor builds a count-element buffer; count
-// elements are sent each way.
+// with the given datatype: count elements each way, under the given
+// eager limit (negative: the device default).
 func CorePingPong(dt core.Datatype, count, iters, eagerLimit int) (time.Duration, error) {
 	var per time.Duration
-	err := runPair(eagerLimit, func(w *core.Comm) error {
+	opts := func(int) []device.Option { return eagerOpts(eagerLimit) }
+	err := runJobOn(2, chanEndpoints(2), opts, func(w *core.Comm) error {
 		buf := dt.Alloc(count)
 		if w.Rank() == 0 {
 			start := time.Now()
@@ -209,7 +165,7 @@ func CorePingPong(dt core.Datatype, count, iters, eagerLimit int) (time.Duration
 // ModePingPong measures per-send-mode round trips through the MPJ API.
 func ModePingPong(mode string, size, iters int) (time.Duration, error) {
 	var per time.Duration
-	err := runPair(-1, func(w *core.Comm) error {
+	err := runJob(2, func(w *core.Comm) error {
 		buf := make([]byte, size)
 		send := func(dst, tag int) error {
 			switch mode {
@@ -306,7 +262,7 @@ func F1LayerDecomposition(sizes []int) (*Table, error) {
 // objectPingPong bounces count boxed float64s via OBJECT serialization.
 func objectPingPong(count, iters int) (time.Duration, error) {
 	var per time.Duration
-	err := runPair(-1, func(w *core.Comm) error {
+	err := runJob(2, func(w *core.Comm) error {
 		buf := make([]any, count)
 		for i := range buf {
 			buf[i] = float64(i)

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"mpj/internal/core"
 	"mpj/internal/device"
 	"mpj/internal/prof"
-	"mpj/internal/transport"
 )
 
 // The PROF experiment: cost of the instrumentation layer. Every hook site
@@ -35,76 +32,27 @@ type ProfBenchRow struct {
 	SentBytes int64   `json:"sent_bytes"` // rank 0's counter total (0 when off)
 }
 
-// ProfBenchResult is the JSON document mpjbench -exp prof writes.
-type ProfBenchResult struct {
-	Experiment string         `json:"experiment"`
-	Device     string         `json:"device"`
-	Note       string         `json:"note"`
-	Rows       []ProfBenchRow `json:"rows"`
-}
-
-// runJobProf is runJob with a per-rank prof.Recorder attached to each
-// device (nil when spec is disabled, pricing the off branch). It returns
-// rank snapshots taken after device close, when trace files have flushed.
-func runJobProf(np int, spec prof.Spec, fn func(w *core.Comm) error) ([]prof.Snapshot, error) {
-	eps := transport.NewChanMesh(np)
-	devs := make([]*device.Device, np)
-	worlds := make([]*core.Comm, np)
-	recs := make([]*prof.Recorder, np)
-	abortAll := func() {
-		for _, d := range devs {
-			if d != nil {
-				d.Abort()
-			}
+// runProfiled runs fn on an np-rank channel job with a prof.Recorder for
+// spec on every device (none when spec is disabled, pricing the off
+// branch). It returns rank 0's counters, read after device close, when
+// trace files have flushed.
+func runProfiled(np int, spec prof.Spec, fn func(w *core.Comm) error) (prof.Snapshot, error) {
+	var rank0 *prof.Recorder
+	opts := func(rank int) []device.Option {
+		r := prof.New(rank, spec)
+		if r == nil {
+			return nil
 		}
-	}
-	for i := 0; i < np; i++ {
-		var opts []device.Option
-		if recs[i] = prof.New(i, spec); recs[i] != nil {
-			opts = append(opts, device.WithProfiler(recs[i]))
-			prof.Track(recs[i])
+		prof.Track(r)
+		if rank == 0 {
+			rank0 = r
 		}
-		var err error
-		if devs[i], err = device.Open(eps[i], opts...); err != nil {
-			abortAll()
-			return nil, err
-		}
-		if worlds[i], err = core.NewWorld(devs[i]); err != nil {
-			abortAll()
-			return nil, err
-		}
+		return []device.Option{device.WithProfiler(r)}
 	}
-	var abortOnce sync.Once
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	for i := 0; i < np; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := fn(worlds[i]); err != nil {
-				errs[i] = err
-				abortOnce.Do(abortAll)
-				return
-			}
-			errs[i] = worlds[i].Barrier()
-		}()
+	if err := runJobOn(np, chanEndpoints(np), opts, fn); err != nil || rank0 == nil {
+		return prof.Snapshot{}, err
 	}
-	wg.Wait()
-	for _, d := range devs {
-		d.Close()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	snaps := make([]prof.Snapshot, np)
-	for i, r := range recs {
-		if r != nil {
-			snaps[i] = r.Snapshot()
-		}
-	}
-	return snaps, nil
+	return rank0.Snapshot(), nil
 }
 
 // profPingPong times a two-rank byte ping-pong under spec: per-op is one
@@ -112,7 +60,7 @@ func runJobProf(np int, spec prof.Spec, fn func(w *core.Comm) error) ([]prof.Sna
 // per-message instrumentation cost.
 func profPingPong(spec prof.Spec, size, iters int) (time.Duration, prof.Snapshot, error) {
 	var per time.Duration
-	snaps, err := runJobProf(2, spec, func(w *core.Comm) error {
+	snap, err := runProfiled(2, spec, func(w *core.Comm) error {
 		buf := make([]byte, size)
 		me := w.Rank()
 		peer := 1 - me
@@ -143,10 +91,7 @@ func profPingPong(spec prof.Spec, size, iters int) (time.Duration, prof.Snapshot
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, prof.Snapshot{}, err
-	}
-	return per, snaps[0], nil
+	return per, snap, err
 }
 
 // profAllreduce times a four-rank large Allreduce under spec — the
@@ -154,7 +99,7 @@ func profPingPong(spec prof.Spec, size, iters int) (time.Duration, prof.Snapshot
 // per-message counters.
 func profAllreduce(spec prof.Spec, count, iters int) (time.Duration, prof.Snapshot, error) {
 	var per time.Duration
-	snaps, err := runJobProf(4, spec, func(w *core.Comm) error {
+	snap, err := runProfiled(4, spec, func(w *core.Comm) error {
 		sbuf := make([]float64, count)
 		rbuf := make([]float64, count)
 		op := func() error {
@@ -177,10 +122,7 @@ func profAllreduce(spec prof.Spec, count, iters int) (time.Duration, prof.Snapsh
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, prof.Snapshot{}, err
-	}
-	return per, snaps[0], nil
+	return per, snap, err
 }
 
 // profModes builds the three measured configurations. tracePrefix hosts
@@ -205,7 +147,7 @@ func profModes(tracePrefix string) []struct {
 // directory, re-measures each mode three times keeping the fastest run,
 // and fails when ping-pong with counters costs more than 10% over off —
 // the CI smoke gate for the off-branch and counter fast paths.
-func ProfSweep(quick bool) (*Table, *ProfBenchResult, error) {
+func ProfSweep(quick bool) (*Table, *Result[ProfBenchRow], error) {
 	// The MPJ_PROF_ADDR contract of the runtimes holds here too, so the CI
 	// smoke can curl a live endpoint while the bench runs under -hold.
 	if addr := os.Getenv("MPJ_PROF_ADDR"); addr != "" {
@@ -230,7 +172,7 @@ func ProfSweep(quick bool) (*Table, *ProfBenchResult, error) {
 		traceDir = dir
 	}
 
-	res := &ProfBenchResult{
+	res := &Result[ProfBenchRow]{
 		Experiment: "prof",
 		Device:     "chan",
 		Note:       "ping-pong per-op is one hop (half round trip); counters are the always-on production mode, trace the debugging mode",
@@ -301,13 +243,4 @@ func ProfSweep(quick bool) (*Table, *ProfBenchResult, error) {
 		}
 	}
 	return t, res, nil
-}
-
-// MarshalProfResult renders the result the way BENCH_prof.json stores it.
-func MarshalProfResult(res *ProfBenchResult) ([]byte, error) {
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(js, '\n'), nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // serialization win the window design claims. The recorded table
 // (BENCH_rma.json) backs the CI smoke: the -quick run re-measures the
 // 64 KiB subset and fails when the Put-vs-Send/Recv ratio falls more than
-// tol below the committed value (capped at 1.0x, like the COLL gate, so
+// 20% below the committed value (capped at 1.0x, like the COLL gate, so
 // a core-starved runner showing one-sided >= two-sided never flakes).
 
 // RmaBenchRow is one measured configuration, recorded in BENCH_rma.json.
@@ -28,14 +27,6 @@ type RmaBenchRow struct {
 	Bytes   int     `json:"bytes"`
 	NsPerOp float64 `json:"ns_per_op"`
 	MiBps   float64 `json:"mib_per_s"`
-}
-
-// RmaBenchResult is the JSON document mpjbench -exp rma writes.
-type RmaBenchResult struct {
-	Experiment string        `json:"experiment"`
-	Device     string        `json:"device"`
-	Note       string        `json:"note"`
-	Rows       []RmaBenchRow `json:"rows"`
 }
 
 // measureRma times one operation at one payload size on a 2-rank hyb
@@ -84,19 +75,7 @@ func measureRma(op string, bytes int) (RmaBenchRow, error) {
 				body = win.Fence // the target only participates in the epoch
 			}
 		}
-		if err := body(); err != nil { // warm the path once
-			return err
-		}
-		if w.Rank() == 0 {
-			ns, _, err := measureOnRank0(w, iters, 3, body)
-			if err != nil {
-				return err
-			}
-			row.NsPerOp = ns
-			row.MiBps = float64(bytes) / (1 << 20) / (ns / 1e9)
-			return nil
-		}
-		return runOther(w, iters, 3, body)
+		return timeOnRank0(w, 1, iters, bytes, body, &row.NsPerOp, &row.MiBps)
 	})
 	return row, err
 }
@@ -104,14 +83,14 @@ func measureRma(op string, bytes int) (RmaBenchRow, error) {
 // RmaSweep generates the one-sided vs two-sided table and its JSON
 // record. The quick run re-measures the 64 KiB put/sendrecv pair plus the
 // get point, for the CI smoke gate.
-func RmaSweep(quick bool) (*Table, *RmaBenchResult, error) {
+func RmaSweep(quick bool) (*Table, *Result[RmaBenchRow], error) {
 	sizes := []int{4 << 10, 64 << 10, 1 << 20, 4 << 20}
 	ops := []string{"sendrecv", "put", "get", "acc"}
 	if quick {
 		sizes = []int{64 << 10}
 		ops = []string{"sendrecv", "put", "get"}
 	}
-	res := &RmaBenchResult{
+	res := &Result[RmaBenchRow]{
 		Experiment: "rma",
 		Device:     "hyb",
 		Note: "float64 payloads, np=2 co-located hyb ranks, min of 3 reps. One-sided rows price " +
@@ -148,17 +127,8 @@ func RmaSweep(quick bool) (*Table, *RmaBenchResult, error) {
 	return t, res, nil
 }
 
-// MarshalRmaResult renders the result the way BENCH_rma.json stores it.
-func MarshalRmaResult(res *RmaBenchResult) ([]byte, error) {
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(js, '\n'), nil
-}
-
 // rmaRatios indexes put-vs-sendrecv ns/op ratios by payload size.
-func rmaRatios(res *RmaBenchResult) map[int]float64 {
+func rmaRatios(res *Result[RmaBenchRow]) map[string]float64 {
 	base := map[int]float64{}
 	put := map[int]float64{}
 	for _, r := range res.Rows {
@@ -169,41 +139,18 @@ func rmaRatios(res *RmaBenchResult) map[int]float64 {
 			put[r.Bytes] = r.NsPerOp
 		}
 	}
-	out := map[int]float64{}
+	out := map[string]float64{}
 	for bytes, bns := range base {
 		if pns, ok := put[bytes]; ok && pns > 0 {
-			out[bytes] = bns / pns
+			out[fmt.Sprintf("put/%d", bytes)] = bns / pns
 		}
 	}
 	return out
 }
 
-// CompareRmaBaseline fails when a measured put-vs-sendrecv ratio falls
-// more than tol below the committed baseline's, with the requirement
-// capped at 1.0x (one-sided at least matches two-sided) so slower CI
-// hardware showing a healthy >=1x result never flakes.
-func CompareRmaBaseline(cur, baseline *RmaBenchResult, tol float64) error {
-	base := rmaRatios(baseline)
-	meas := rmaRatios(cur)
-	var bad []string
-	checked := 0
-	for bytes, want := range base {
-		got, ok := meas[bytes]
-		if !ok {
-			continue
-		}
-		checked++
-		need := min(want*(1-tol), 1.0)
-		if got < need {
-			bad = append(bad, fmt.Sprintf("put %d bytes: ratio %.2fx < required %.2fx (baseline %.2fx - %.0f%%)",
-				bytes, got, need, want, tol*100))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("one-sided regression vs committed BENCH_rma.json: %v", bad)
-	}
-	if checked == 0 {
-		return fmt.Errorf("no overlapping payload sizes between run and baseline")
-	}
-	return nil
+// RmaGate is the -quick regression gate against BENCH_rma.json: each
+// put-vs-sendrecv ratio must stay within 20% of the baseline's, the
+// requirement capped at 1.0x (one-sided at least matches two-sided).
+func RmaGate(cur, base *Result[RmaBenchRow]) error {
+	return compareRatios(rmaRatios(cur), rmaRatios(base), 0.2, 1.0)
 }

@@ -67,8 +67,8 @@ func tuneSweep(run jobRunner, op string, np int, sizes []int, alt string) ([]tun
 // Tune sweeps payload x np x algorithm per device and derives the
 // crossover table. quick trims the sweep to a smoke-sized subset (the CI
 // step: the table must still be derivable and loadable, its values are
-// not asserted). The returned table is what the caller writes to
-// MPJ_COLL_TABLE / ~/.mpj/colltab.json.
+// not asserted). The returned table is what the caller writes to the
+// path in MPJ_COLL_TABLE.
 func Tune(quick bool) (*core.CollTable, *Table, error) {
 	sizes := []int{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 1 << 20}
 	nps := []int{4, 8}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
 	"mpj/internal/core"
@@ -26,65 +24,6 @@ type TypedBenchRow struct {
 	Bytes      int     `json:"bytes"` // payload bytes per message
 	NsPerOp    float64 `json:"ns_per_op"`
 	BytesPerOp float64 `json:"b_per_op"`
-}
-
-// TypedBenchResult is the JSON document mpjbench -exp typed writes.
-type TypedBenchResult struct {
-	Experiment string          `json:"experiment"`
-	Device     string          `json:"device"`
-	Note       string          `json:"note"`
-	Rows       []TypedBenchRow `json:"rows"`
-}
-
-// measureOnRank0 times iters calls of body on rank 0 and reports ns/op and
-// allocated bytes/op. Allocation is read from the process-wide counter, so
-// it covers every rank of the in-process job — all ranks run the same
-// facade in lockstep, which is exactly the per-operation footprint of the
-// pattern under test. min-of-reps strips scheduler jitter.
-func measureOnRank0(w *core.Comm, iters, reps int, body func() error) (ns, bpo float64, err error) {
-	var m0, m1 runtime.MemStats
-	bestNs := 0.0
-	bestB := 0.0
-	for rep := 0; rep < reps; rep++ {
-		if err := w.Barrier(); err != nil {
-			return 0, 0, err
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := body(); err != nil {
-				return 0, 0, err
-			}
-		}
-		el := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		perNs := float64(el.Nanoseconds()) / float64(iters)
-		perB := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters)
-		if rep == 0 || perNs < bestNs {
-			bestNs = perNs
-		}
-		if rep == 0 || perB < bestB {
-			bestB = perB
-		}
-	}
-	return bestNs, bestB, nil
-}
-
-// runOther drives the non-measuring ranks through the same rep/iter
-// structure as measureOnRank0.
-func runOther(w *core.Comm, iters, reps int, body func() error) error {
-	for rep := 0; rep < reps; rep++ {
-		if err := w.Barrier(); err != nil {
-			return err
-		}
-		for i := 0; i < iters; i++ {
-			if err := body(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // typedPingpong measures a rank0↔rank1 float64 round trip on the hyb
@@ -178,7 +117,7 @@ func typedAllreduce(api string, elems, iters, reps int) (TypedBenchRow, error) {
 // typed facade must allocate less per op than the Datatype facade, and
 // both must sit far below the payload size (bulk path engaged, frames
 // pooled).
-func TypedCompare(quick bool) (*Table, []byte, error) {
+func TypedCompare(quick bool) (*Table, *Result[TypedBenchRow], error) {
 	ppElems := []int{64, 512, 8192}
 	arElems := []int{256, 4096}
 	ppIters, arIters := 3000, 400
@@ -188,7 +127,7 @@ func TypedCompare(quick bool) (*Table, []byte, error) {
 		ppIters, arIters = 600, 120
 	}
 
-	res := TypedBenchResult{
+	res := &Result[TypedBenchRow]{
 		Experiment: "typed",
 		Device:     "hyb",
 		Note: "float64 payloads; B/op is process-wide allocation per operation across all ranks " +
@@ -237,10 +176,5 @@ func TypedCompare(quick bool) (*Table, []byte, error) {
 			fmtDur(time.Duration(dr.NsPerOp)), fmt.Sprintf("%.0f", dr.BytesPerOp),
 		})
 	}
-
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, append(js, '\n'), nil
+	return t, res, nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -30,14 +29,6 @@ type VcollBenchRow struct {
 	Bytes   int     `json:"bytes"` // payload bytes per rank
 	NsPerOp float64 `json:"ns_per_op"`
 	MiBps   float64 `json:"mib_per_s"`
-}
-
-// VcollBenchResult is the JSON document mpjbench -exp vcoll writes.
-type VcollBenchResult struct {
-	Experiment string          `json:"experiment"`
-	Device     string          `json:"device"`
-	Note       string          `json:"note"`
-	Rows       []VcollBenchRow `json:"rows"`
 }
 
 // vcollLayout builds the per-peer count matrix row for one rank: balanced
@@ -94,21 +85,7 @@ func measureAlltoallv(np, bytes int, layout string) (VcollBenchRow, error) {
 		body := func() error {
 			return w.Alltoallv(in, 0, scounts, sdispls, core.Double, out, 0, rcounts, rdispls, core.Double)
 		}
-		for i := 0; i < 2; i++ {
-			if err := body(); err != nil {
-				return err
-			}
-		}
-		if me == 0 {
-			ns, _, err := measureOnRank0(w, iters, 3, body)
-			if err != nil {
-				return err
-			}
-			row.NsPerOp = ns
-			row.MiBps = float64(bytes) / (1 << 20) / (ns / 1e9)
-			return nil
-		}
-		return runOther(w, iters, 3, body)
+		return timeOnRank0(w, 2, iters, bytes, body, &row.NsPerOp, &row.MiBps)
 	})
 	return row, err
 }
@@ -134,21 +111,7 @@ func measureReduceScatter(np, bytes int, algName string) (VcollBenchRow, error) 
 		body := func() error {
 			return w.ReduceScatter(in, 0, out, 0, rcounts, core.Double, core.SumOp)
 		}
-		for i := 0; i < 2; i++ {
-			if err := body(); err != nil {
-				return err
-			}
-		}
-		if me == 0 {
-			ns, _, err := measureOnRank0(w, iters, 3, body)
-			if err != nil {
-				return err
-			}
-			row.NsPerOp = ns
-			row.MiBps = float64(bytes) / (1 << 20) / (ns / 1e9)
-			return nil
-		}
-		return runOther(w, iters, 3, body)
+		return timeOnRank0(w, 2, iters, bytes, body, &row.NsPerOp, &row.MiBps)
 	})
 	return row, err
 }
@@ -156,7 +119,7 @@ func measureReduceScatter(np, bytes int, algName string) (VcollBenchRow, error) 
 // VcollSweep generates the varying-count collective table and its JSON
 // record. The quick run re-measures the 1 MiB np=4 reduce-scatter pair
 // plus one alltoallv point, for the CI smoke gate.
-func VcollSweep(quick bool) (*Table, *VcollBenchResult, error) {
+func VcollSweep(quick bool) (*Table, *Result[VcollBenchRow], error) {
 	sizes := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	rsNps := []int{4, 5, 8}
 	a2aNps := []int{4, 8}
@@ -165,7 +128,7 @@ func VcollSweep(quick bool) (*Table, *VcollBenchResult, error) {
 		rsNps = []int{4}
 		a2aNps = []int{4}
 	}
-	res := &VcollBenchResult{
+	res := &Result[VcollBenchRow]{
 		Experiment: "vcoll",
 		Device:     "hyb",
 		Note: "float64 payloads, min of 3 reps; 'bytes' is the per-rank payload (split across " +
@@ -220,26 +183,16 @@ func VcollSweep(quick bool) (*Table, *VcollBenchResult, error) {
 	return t, res, nil
 }
 
-// MarshalVcollResult renders the result the way BENCH_vcoll.json stores
-// it.
-func MarshalVcollResult(res *VcollBenchResult) ([]byte, error) {
-	js, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(js, '\n'), nil
-}
-
 // vcollSpeedups indexes classic-vs-ring reduce-scatter speedup ratios by
 // configuration.
-func vcollSpeedups(res *VcollBenchResult) map[string]float64 {
+func vcollSpeedups(res *Result[VcollBenchRow]) map[string]float64 {
 	classic := map[string]float64{}
 	ring := map[string]float64{}
 	for _, r := range res.Rows {
 		if r.Op != "reduce_scatter" {
 			continue
 		}
-		key := fmt.Sprintf("np%d/%d", r.NP, r.Bytes)
+		key := fmt.Sprintf("reduce_scatter/np%d/%d", r.NP, r.Bytes)
 		if r.Alg == "classic" {
 			classic[key] = r.NsPerOp
 		} else {
@@ -255,32 +208,9 @@ func vcollSpeedups(res *VcollBenchResult) map[string]float64 {
 	return out
 }
 
-// CompareVcollBaseline fails when a measured classic-vs-ring
-// reduce-scatter speedup falls more than tol below the committed
-// baseline's, with the requirement capped at 2.0x (the acceptance claim)
-// so slower CI hardware showing a healthy >=2x win never flakes.
-func CompareVcollBaseline(cur, baseline *VcollBenchResult, tol float64) error {
-	base := vcollSpeedups(baseline)
-	meas := vcollSpeedups(cur)
-	var bad []string
-	checked := 0
-	for key, want := range base {
-		got, ok := meas[key]
-		if !ok {
-			continue
-		}
-		checked++
-		need := min(want*(1-tol), 2.0)
-		if got < need {
-			bad = append(bad, fmt.Sprintf("reduce_scatter %s: speedup %.2fx < required %.2fx (baseline %.2fx - %.0f%%)",
-				key, got, need, want, tol*100))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("varying-count collective regression vs committed BENCH_vcoll.json: %v", bad)
-	}
-	if checked == 0 {
-		return fmt.Errorf("no overlapping configurations between run and baseline")
-	}
-	return nil
+// VcollGate is the -quick regression gate against BENCH_vcoll.json: each
+// classic-vs-ring reduce-scatter speedup must stay within 20% of the
+// baseline's, the requirement capped at 2.0x like CollGate.
+func VcollGate(cur, base *Result[VcollBenchRow]) error {
+	return compareRatios(vcollSpeedups(cur), vcollSpeedups(base), 0.2, 2.0)
 }

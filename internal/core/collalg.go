@@ -15,9 +15,9 @@ import (
 // The thresholds come, in order of precedence, from per-communicator
 // setters (SetCollAlg/SetCollSegSize), the MPJ_COLL_ALG/MPJ_COLL_SEG
 // environment variables, the measured per-device crossover table written
-// by `mpjbench -tune` (MPJ_COLL_TABLE / ~/.mpj/colltab.json, see
-// colltab.go), and finally the built-in default constants below. Every
-// built-in crossover can be overridden by a generated table.
+// by `mpjbench -tune` (read only from MPJ_COLL_TABLE, see colltab.go),
+// and finally the built-in default constants below. Every built-in
+// crossover can be overridden by a generated table.
 
 // CollAlg selects the collective algorithm family.
 type CollAlg int

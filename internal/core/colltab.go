@@ -14,8 +14,10 @@ import (
 // which the segmented/ring schedules overtake the classic trees differs
 // by an order of magnitude between an in-process channel mesh and a TCP
 // mesh, so one set of constants cannot fit both. A process loads at most
-// one table, once, at NewWorld: from the path in MPJ_COLL_TABLE if set,
-// else from ~/.mpj/colltab.json if present. A missing, malformed or
+// one table, once, at NewWorld, and only from the path in MPJ_COLL_TABLE:
+// there is no implicit default location, so a table tuned once on a box
+// never silently changes selection in later tests or benchmarks. With
+// the variable unset the built-in defaults apply. A missing, malformed or
 // partial table is NOT an error — selection silently falls back to the
 // built-in defaults for anything the table does not supply — because a
 // stale or truncated tuning artifact must never take a job down. (This is
@@ -90,24 +92,6 @@ func (d *DeviceCrossovers) largeMinAt(np int) int {
 	return d.LargeMin
 }
 
-// DefaultCollTablePath returns ~/.mpj/colltab.json, the table location
-// used when MPJ_COLL_TABLE is unset ("" when no home directory resolves).
-func DefaultCollTablePath() string {
-	home, err := os.UserHomeDir()
-	if err != nil || home == "" {
-		return ""
-	}
-	return filepath.Join(home, ".mpj", "colltab.json")
-}
-
-// collTablePath resolves where to look for (or write) the table.
-func collTablePath() string {
-	if p := os.Getenv(CollTableEnv); p != "" {
-		return p
-	}
-	return DefaultCollTablePath()
-}
-
 // LoadCollTable reads and validates the crossover table at path. Unlike
 // loadCollTableEnv it does report what went wrong, for tooling that wants
 // to know (mpjbench -tune's round-trip check).
@@ -127,11 +111,11 @@ func LoadCollTable(path string) (*CollTable, error) {
 }
 
 // loadCollTableEnv loads the process's crossover table from
-// MPJ_COLL_TABLE or the default path. Any failure — no table, unreadable
+// MPJ_COLL_TABLE. Any failure — variable unset, no table, unreadable
 // file, malformed JSON, wrong version — yields nil: the built-in
 // constants apply.
 func loadCollTableEnv() *CollTable {
-	path := collTablePath()
+	path := os.Getenv(CollTableEnv)
 	if path == "" {
 		return nil
 	}

@@ -250,3 +250,31 @@ func TestTableAutoMatchesForced(t *testing.T) {
 		})
 	}
 }
+
+// The table is read only from MPJ_COLL_TABLE: a tuned table at the old
+// implicit location in the home directory must not change selection.
+func TestCollTableIgnoresHome(t *testing.T) {
+	home := t.TempDir()
+	tab := &CollTable{
+		Version: collTableVersion,
+		Devices: map[string]*DeviceCrossovers{"chan": {SegSize: 64 << 10, LargeMinNP: 2}},
+	}
+	if err := tab.WriteFile(filepath.Join(home, ".mpj", "colltab.json")); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("HOME", home)
+	t.Setenv(CollTableEnv, "")
+
+	runRanks(t, 2, func(w *Comm) error {
+		if w.proc.collDev != nil {
+			return expect(false, "collDev = %+v, want no table without %s", w.proc.collDev, CollTableEnv)
+		}
+		if got := w.collSegSize(); got != DefaultCollSegSize {
+			return expect(false, "collSegSize = %d, want built-in default", got)
+		}
+		if got := w.largeMinNP(); got != defLargeCollMinNP {
+			return expect(false, "largeMinNP = %d, want built-in default", got)
+		}
+		return nil
+	})
+}

@@ -37,8 +37,8 @@ type procState struct {
 	// Process-wide collective tuning defaults, read from MPJ_COLL_ALG /
 	// MPJ_COLL_SEG at NewWorld; per-communicator overrides live on Comm
 	// (see collalg.go). collDev is this device's entry in the measured
-	// crossover table (MPJ_COLL_TABLE / ~/.mpj/colltab.json, resolved once
-	// at NewWorld; nil when absent — built-in constants apply).
+	// crossover table (MPJ_COLL_TABLE, resolved once at NewWorld; nil when
+	// unset or absent — built-in constants apply).
 	collAlg CollAlg
 	collSeg int
 	collDev *DeviceCrossovers
